@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .sequences import FeatureMap, LineSequence, gather, scatter
 
 _EPWT_MAGIC = b"EPWT"
 
-_PE_MODES = ("none", "sine", "learnable")
+_PE_MODES = ("none", "sine")
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,10 @@ class LocalAugmentWeights:
 
 @dataclass(frozen=True)
 class AttentionWeights:
-    """Weights for every block plus the local convolution.
-
-    ``pe_table`` holds a stored (max_positions, channels) table for the
-    "learnable" positional mode; it is never fitted here.
-    """
+    """Weights for every block plus the local convolution."""
 
     blocks: tuple[BlockWeights, ...]
     local: LocalAugmentWeights
-    pe_table: np.ndarray | None = None
 
 
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -185,21 +180,6 @@ def feed_forward(seq: np.ndarray, ffn: FeedForwardWeights) -> np.ndarray:
     return np.maximum(seq @ ffn.w1 + ffn.b1, 0.0) @ ffn.w2 + ffn.b2
 
 
-def _positional(config: AttentionConfig, weights: AttentionWeights, n: int) -> np.ndarray:
-    if config.pe_mode == "sine":
-        return sine_pe(n, config.channels)
-    if config.pe_mode == "learnable":
-        if weights.pe_table is None:
-            raise ValueError("learnable positional mode requires a stored pe_table")
-        if n > weights.pe_table.shape[0]:
-            raise ValueError(
-                f"sequence of {n} tokens exceeds stored positional table "
-                f"({weights.pe_table.shape[0]} positions)"
-            )
-        return np.asarray(weights.pe_table[:n], dtype=np.float64)
-    raise ValueError(f"no positional table for mode {config.pe_mode!r}")
-
-
 def et_forward(
     ref_seqs: list[LineSequence],
     src_seqs: list[LineSequence],
@@ -230,10 +210,10 @@ def et_forward(
             continue
         src = np.asarray(src_seq.tokens, dtype=np.float64).copy()
         ref = np.asarray(ref_seq.tokens, dtype=np.float64).copy()
-        if config.pe_mode != "none":
-            src = src + _positional(config, weights, src.shape[0])
+        if config.pe_mode == "sine":
+            src = src + sine_pe(src.shape[0], config.channels)
             if ref.shape[0] > 0:
-                ref = ref + _positional(config, weights, ref.shape[0])
+                ref = ref + sine_pe(ref.shape[0], config.channels)
         for block in weights.blocks:
             src = mhsa(src, block.intra, config.heads) + src
             if ref.shape[0] > 0:
@@ -245,14 +225,11 @@ def et_forward(
     return out
 
 
-def local_augment(
-    fmap: FeatureMap, local: LocalAugmentWeights, hole_mask: np.ndarray | None = None
-) -> FeatureMap:
+def local_augment(fmap: FeatureMap, local: LocalAugmentWeights) -> FeatureMap:
     """Stride-1, zero-padded, same-size convolution over the whole map.
 
     Applied to every pixel, holes included; that is what fills hole pixels
-    with neighboring context. ``hole_mask``, when given, is only checked for
-    shape: it documents which pixels carried no attended features.
+    with neighboring context.
     """
     kernel = np.asarray(local.kernel, dtype=np.float64)
     k = kernel.shape[0]
@@ -262,8 +239,6 @@ def local_augment(
         raise ValueError(
             f"kernel expects {kernel.shape[2]} input channels, map has {fmap.channels}"
         )
-    if hole_mask is not None and hole_mask.shape != (fmap.height, fmap.width):
-        raise ValueError("hole mask shape does not match the map")
     r = k // 2
     h, w, _ = fmap.data.shape
     c_out = kernel.shape[3]
@@ -290,99 +265,100 @@ def augment_pipeline(
     pairs: EpipolarPairSet,
     weights: AttentionWeights,
     config: AttentionConfig,
+    side: str = "src",
 ) -> FeatureMap:
-    """Gather both sides, augment the source sequences, scatter, then smooth.
+    """Gather both sides, augment one side's sequences, scatter, then smooth.
 
-    Returns the enhanced source feature map; hole pixels keep their template
-    values until the final convolution mixes in their neighborhoods.
+    With ``side="src"`` each source sequence attends to its paired reference
+    sequence and the enhanced source map is returned. ``side="ref"`` is the
+    mirrored pass: reference sequences attend to their source partners and
+    the enhanced reference map is returned. Hole pixels of the returned side
+    keep their template values until the final convolution mixes in their
+    neighborhoods.
     """
-    ref_seqs = gather(ref_map, pairs, "ref")
-    src_seqs = gather(src_map, pairs, "src")
-    augmented = et_forward(ref_seqs, src_seqs, weights, config)
-    scattered = scatter(augmented, pairs, template=src_map)
-    return local_augment(scattered, weights.local, pairs.src_hole_mask)
+    if side not in ("ref", "src"):
+        raise ValueError(f"side must be 'ref' or 'src', got {side!r}")
+    other = "ref" if side == "src" else "src"
+    maps = {"ref": ref_map, "src": src_map}
+    keys = gather(maps[other], pairs, other)
+    queries = gather(maps[side], pairs, side)
+    augmented = et_forward(keys, queries, weights, config)
+    scattered = scatter(augmented, pairs, template=maps[side])
+    return local_augment(scattered, weights.local)
 
 
-def seeded_weights(
-    config: AttentionConfig, seed: int, pe_positions: int = 4096
-) -> AttentionWeights:
-    """Reproducible weights, uniform in [-1/sqrt(c), 1/sqrt(c)].
+# The eight tensors of one projection in dataclass-field order, which is the
+# order seeded_weights draws them in, and in the interleaved order of EPWT.
+_DRAW_ORDER = tuple(f.name for f in fields(AttentionProjection))
+_EPWT_ORDER = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
-    There is no training here, so initialization only pins down demo and
-    benchmark outputs.
+
+def _weight_spec(config: AttentionConfig, projection_order=_EPWT_ORDER):
+    """Every weight tensor of the stack as (key, shape), in EPWT payload order.
+
+    A key is the attribute path into AttentionWeights, e.g. "blocks.0.intra.wq".
+    Per block come the intra and cross projections, each in
+    ``projection_order``, then ffn w1, b1, w2, b2; then the local kernel and
+    bias.
     """
-    rng = np.random.default_rng(seed)
-    c = config.channels
-    bound = 1.0 / math.sqrt(c)
+    c, hidden, k = config.channels, config.ffn_ratio * config.channels, config.la_kernel
+    for b in range(config.n_blocks):
+        for layer in ("intra", "cross"):
+            for name in projection_order:
+                yield f"blocks.{b}.{layer}.{name}", (c, c) if name.startswith("w") else (c,)
+        yield f"blocks.{b}.ffn.w1", (c, hidden)
+        yield f"blocks.{b}.ffn.b1", (hidden,)
+        yield f"blocks.{b}.ffn.w2", (hidden, c)
+        yield f"blocks.{b}.ffn.b2", (c,)
+    yield "local.kernel", (k, k, c, c)
+    yield "local.bias", (c,)
 
-    def u(*shape):
-        return rng.uniform(-bound, bound, size=shape)
 
-    def projection():
-        return AttentionProjection(
-            wq=u(c, c), wk=u(c, c), wv=u(c, c), wo=u(c, c),
-            bq=u(c), bk=u(c), bv=u(c), bo=u(c),
-        )
+def _assemble(config: AttentionConfig, tensors: dict) -> AttentionWeights:
+    """AttentionWeights from arrays keyed as in :func:`_weight_spec`."""
+
+    def group(cls, prefix):
+        return cls(**{f.name: tensors[f"{prefix}.{f.name}"] for f in fields(cls)})
 
     blocks = tuple(
         BlockWeights(
-            intra=projection(),
-            cross=projection(),
-            ffn=FeedForwardWeights(
-                w1=u(c, config.ffn_ratio * c),
-                b1=u(config.ffn_ratio * c),
-                w2=u(config.ffn_ratio * c, c),
-                b2=u(c),
-            ),
+            intra=group(AttentionProjection, f"blocks.{b}.intra"),
+            cross=group(AttentionProjection, f"blocks.{b}.cross"),
+            ffn=group(FeedForwardWeights, f"blocks.{b}.ffn"),
         )
-        for _ in range(config.n_blocks)
+        for b in range(config.n_blocks)
     )
-    local = LocalAugmentWeights(
-        kernel=u(config.la_kernel, config.la_kernel, c, c), bias=u(c)
+    return AttentionWeights(blocks=blocks, local=group(LocalAugmentWeights, "local"))
+
+
+def _tensor(weights: AttentionWeights, key: str) -> np.ndarray:
+    """The tensor at a :func:`_weight_spec` key."""
+    node = weights
+    for part in key.split("."):
+        node = node[int(part)] if part.isdigit() else getattr(node, part)
+    return np.asarray(node)
+
+
+def seeded_weights(config: AttentionConfig, seed: int) -> AttentionWeights:
+    """Reproducible weights, uniform in [-1/sqrt(c), 1/sqrt(c)].
+
+    There is no training here, so initialization only pins down demo and
+    benchmark outputs. Tensors are drawn in dataclass-field order.
+    """
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / math.sqrt(config.channels)
+    return _assemble(
+        config,
+        {
+            key: rng.uniform(-bound, bound, size=shape)
+            for key, shape in _weight_spec(config, _DRAW_ORDER)
+        },
     )
-    pe_table = u(pe_positions, c) if config.pe_mode == "learnable" else None
-    return AttentionWeights(blocks=blocks, local=local, pe_table=pe_table)
 
 
 def zero_weights(config: AttentionConfig) -> AttentionWeights:
     """All-zero weights; with an identity local kernel the pipeline is the identity."""
-    c = config.channels
-
-    def z(*shape):
-        return np.zeros(shape)
-
-    blocks = tuple(
-        BlockWeights(
-            intra=AttentionProjection(
-                wq=z(c, c), wk=z(c, c), wv=z(c, c), wo=z(c, c),
-                bq=z(c), bk=z(c), bv=z(c), bo=z(c),
-            ),
-            cross=AttentionProjection(
-                wq=z(c, c), wk=z(c, c), wv=z(c, c), wo=z(c, c),
-                bq=z(c), bk=z(c), bv=z(c), bo=z(c),
-            ),
-            ffn=FeedForwardWeights(
-                w1=z(c, config.ffn_ratio * c),
-                b1=z(config.ffn_ratio * c),
-                w2=z(config.ffn_ratio * c, c),
-                b2=z(c),
-            ),
-        )
-        for _ in range(config.n_blocks)
-    )
-    local = LocalAugmentWeights(kernel=z(config.la_kernel, config.la_kernel, c, c), bias=z(c))
-    pe_table = z(4096, c) if config.pe_mode == "learnable" else None
-    return AttentionWeights(blocks=blocks, local=local, pe_table=pe_table)
-
-
-def _weight_tensors(weights: AttentionWeights):
-    """The fixed serialization order of every tensor in the container."""
-    for block in weights.blocks:
-        for proj in (block.intra, block.cross):
-            yield from (proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv, proj.wo, proj.bo)
-        yield from (block.ffn.w1, block.ffn.b1, block.ffn.w2, block.ffn.b2)
-    yield weights.local.kernel
-    yield weights.local.bias
+    return _assemble(config, {key: np.zeros(shape) for key, shape in _weight_spec(config)})
 
 
 def write_weights(path, weights: AttentionWeights, config: AttentionConfig) -> None:
@@ -390,9 +366,19 @@ def write_weights(path, weights: AttentionWeights, config: AttentionConfig) -> N
 
     Header fields: u32 n_blocks, channels, heads, ffn_ratio, la_kernel. The
     tensor payload order is, per block: intra wq,bq,wk,bk,wv,bv,wo,bo; cross
-    likewise; ffn w1,b1,w2,b2; then the local kernel and bias. Stored
-    positional tables are in-memory only and not serialized.
+    likewise; ffn w1,b1,w2,b2; then the local kernel and bias.
+
+    Raises:
+        ValueError: When the weights do not have the shapes ``config`` implies.
     """
+    if len(weights.blocks) != config.n_blocks:
+        raise ValueError(f"{len(weights.blocks)} weight blocks, config has {config.n_blocks}")
+    tensors = []
+    for key, shape in _weight_spec(config):
+        tensor = _tensor(weights, key)
+        if tensor.shape != shape:
+            raise ValueError(f"weight {key} is {tensor.shape}, config implies {shape}")
+        tensors.append(tensor)
     header = _EPWT_MAGIC + struct.pack(
         "<IIIII",
         config.n_blocks,
@@ -403,7 +389,7 @@ def write_weights(path, weights: AttentionWeights, config: AttentionConfig) -> N
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for tensor in _weight_tensors(weights):
+        for tensor in tensors:
             fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
 
 
@@ -422,34 +408,15 @@ def read_weights(path) -> tuple[AttentionWeights, AttentionConfig]:
         pe_mode="sine",
         la_kernel=la_kernel,
     )
-    cursor = 24
-    values = np.frombuffer(blob, dtype="<f4", offset=cursor).astype(np.float64)
-
-    consumed = 0
-
-    def take(*shape):
-        nonlocal consumed
-        size = int(np.prod(shape))
+    values = np.frombuffer(blob, dtype="<f4", offset=24).astype(np.float64)
+    tensors, consumed = {}, 0
+    for key, shape in _weight_spec(config):
+        size = math.prod(shape)
         chunk = values[consumed : consumed + size]
         if chunk.size != size:
             raise ValueError(f"{path}: truncated weight payload")
+        tensors[key] = chunk.reshape(shape)
         consumed += size
-        return chunk.reshape(shape)
-
-    c, f = channels, ffn_ratio
-    blocks = []
-    for _ in range(n_blocks):
-        projs = []
-        for _ in range(2):
-            projs.append(
-                AttentionProjection(
-                    wq=take(c, c), bq=take(c), wk=take(c, c), bk=take(c),
-                    wv=take(c, c), bv=take(c), wo=take(c, c), bo=take(c),
-                )
-            )
-        ffn = FeedForwardWeights(w1=take(c, f * c), b1=take(f * c), w2=take(f * c, c), b2=take(c))
-        blocks.append(BlockWeights(intra=projs[0], cross=projs[1], ffn=ffn))
-    local = LocalAugmentWeights(kernel=take(la_kernel, la_kernel, c, c), bias=take(c))
     if consumed != values.size:
         raise ValueError(f"{path}: {values.size - consumed} unread trailing values")
-    return AttentionWeights(blocks=tuple(blocks), local=local), config
+    return _assemble(config, tensors), config

@@ -3,7 +3,8 @@
 Commands: pairs, visualize, augment, bench, verify, sweep. Every command is
 deterministic given its flags and seed, never mutates its input files, and
 exits nonzero with a message on error. The EPILINE_THREADS environment
-variable caps BLAS parallelism for the whole invocation.
+variable caps BLAS parallelism for the whole invocation, or says on stderr
+why it could not.
 """
 
 from __future__ import annotations
@@ -16,18 +17,16 @@ import sys
 
 import numpy as np
 
-from . import geometry, synthetic
+from . import synthetic
 from .attention import (
     AttentionConfig,
     augment_pipeline,
-    et_forward,
-    local_augment,
     read_weights,
     seeded_weights,
     write_weights,
 )
 from .cam_io import load_camera_pair
-from .complexity import Strategy, gmacs, run_benchmark
+from .complexity import Strategy, blas_thread_cap, gmacs, run_benchmark
 from .errors import EpilineError
 from .pair_search import (
     SearchConfig,
@@ -36,7 +35,8 @@ from .pair_search import (
     precision_sweep,
     search_pairs,
 )
-from .sequences import FeatureMap, gather, read_feature_map, scatter, write_feature_map
+from .geometry import EpipolarLine, epipolar_line
+from .sequences import FeatureMap, read_feature_map, write_feature_map
 from .verify import run_all
 from .viz import render_pair_images, write_ppm
 
@@ -136,13 +136,7 @@ def cmd_augment(args) -> int:
     enhanced = augment_pipeline(ref_map, src_map, pair_set, weights, config)
     write_feature_map(args.out, enhanced)
     if args.symmetric:
-        # Mirrored pass: the reference sequences are augmented from the source
-        # side, then written over the reference map.
-        src_seqs = gather(src_map, pair_set, "src")
-        ref_seqs = gather(ref_map, pair_set, "ref")
-        mirrored = et_forward(src_seqs, ref_seqs, weights, config)
-        scattered = scatter(mirrored, pair_set, template=ref_map)
-        enhanced_ref = local_augment(scattered, weights.local, pair_set.ref_hole_mask)
+        enhanced_ref = augment_pipeline(ref_map, src_map, pair_set, weights, config, side="ref")
         stem, dot, suffix = args.out.rpartition(".")
         ref_out = f"{stem}_ref{dot}{suffix}" if dot else f"{args.out}_ref"
         write_feature_map(ref_out, enhanced_ref)
@@ -159,16 +153,21 @@ def cmd_bench(args) -> int:
         pair = synthetic.random_pair(np.random.default_rng(args.seed), h, w)
     strategies = [Strategy(name.strip()) for name in args.strategies.split(",")]
     config = AttentionConfig(channels=args.channels, heads=args.heads)
-    reports = run_benchmark(
-        pair,
-        config,
-        strategies,
-        repeats=args.repeats,
-        seed=args.seed,
-        search=_search_config(args),
-        single_threaded=not args.parallel,
-    )
+    # The cap is entered here rather than by run_benchmark so that the header
+    # can say whether it took.
+    with blas_thread_cap(1) if not args.parallel else contextlib.nullcontext() as not_applied:
+        reports = run_benchmark(
+            pair,
+            config,
+            strategies,
+            repeats=args.repeats,
+            seed=args.seed,
+            search=_search_config(args),
+            single_threaded=False,
+        )
     mode = "parallel" if args.parallel else "single-threaded"
+    if not_applied:
+        mode = f"single-thread cap not applied: {not_applied}"
     header = f"{'strategy':<16} {'MACs':>14} {'GMACs':>7} {'median ms':>10}"
     lines = [f"# {mode}", header, "-" * len(header)]
     for report in reports:
@@ -189,15 +188,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _slope_flipped_line(coeffs) -> EpipolarLine:
+    """The closed-form line with its slope negated: the fault --inject-fault plants."""
+    line = epipolar_line(coeffs)
+    return EpipolarLine(line.orientation, -line.slope, line.intercept)
+
+
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise EpilineError("trials must be at least 1")
-    if args.inject_fault:
-        geometry._FAULT_FLIP_SLOPE_SIGN = True
-    try:
-        results = run_all(seed=args.seed, trials=args.trials)
-    finally:
-        geometry._FAULT_FLIP_SLOPE_SIGN = False
+    line_fn = _slope_flipped_line if args.inject_fault else epipolar_line
+    results = run_all(seed=args.seed, trials=args.trials, line_fn=line_fn)
     failures = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -308,16 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_thread_cap(stack: contextlib.ExitStack, value: str) -> None:
+    """Enter the EPILINE_THREADS cap, or say on stderr why it is not applied."""
+    try:
+        limit = max(1, int(value))
+    except ValueError:
+        reason = "not an integer"
+    else:
+        reason = stack.enter_context(blas_thread_cap(limit))
+    if reason:
+        sys.stderr.write(f"epiline: EPILINE_THREADS={value!r} not applied: {reason}\n")
+
+
 def main(argv=None) -> int:
     thread_cap = os.environ.get("EPILINE_THREADS")
     with contextlib.ExitStack() as stack:
         if thread_cap:
-            try:
-                from threadpoolctl import threadpool_limits
-
-                stack.enter_context(threadpool_limits(limits=max(1, int(thread_cap))))
-            except (ImportError, ValueError):
-                pass
+            _apply_thread_cap(stack, thread_cap)
         try:
             args = build_parser().parse_args(argv)
             return args.func(args)

@@ -15,6 +15,7 @@ All counts are exact Python integers, so there is no overflow.
 
 from __future__ import annotations
 
+import contextlib
 import statistics
 import time
 from dataclasses import dataclass
@@ -25,22 +26,17 @@ import numpy as np
 from .attention import (
     AttentionConfig,
     AttentionWeights,
-    _positional,
     et_forward,
     feed_forward,
     mhca,
     seeded_weights,
+    sine_pe,
 )
 from .errors import RepeatsTooFewError, UnknownStrategyError
 from .geometry import CameraPair
 from .pair_search import SearchConfig, search_pairs
 from .sequences import FeatureMap, LineSequence, gather
 from .synthetic import random_feature_map
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - optional at runtime
-    threadpool_limits = None
 
 
 class Strategy(Enum):
@@ -150,10 +146,10 @@ def _point_to_line_forward(
             continue
         src = np.asarray(src_seq.tokens, dtype=np.float64).copy()
         ref = np.asarray(ref_seq.tokens, dtype=np.float64)
-        if config.pe_mode != "none":
-            src = src + _positional(config, weights, src.shape[0])
+        if config.pe_mode == "sine":
+            src = src + sine_pe(src.shape[0], config.channels)
             if ref.shape[0] > 0:
-                ref = ref + _positional(config, weights, ref.shape[0])
+                ref = ref + sine_pe(ref.shape[0], config.channels)
         for block in weights.blocks:
             after_intra = np.empty_like(src)
             for j in range(src.shape[0]):
@@ -201,6 +197,22 @@ def _plane_to_plane_forward(
         tokens = _linear_self_attention(tokens, block.intra, config.heads) + tokens
 
 
+@contextlib.contextmanager
+def blas_thread_cap(limit: int):
+    """Cap the BLAS thread pools at ``limit`` threads inside the ``with`` block.
+
+    Yields None while the cap is in effect, or the reason it could not be
+    applied; BLAS then keeps its own thread count.
+    """
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError as exc:
+        yield f"threadpoolctl is not importable ({exc})"
+        return
+    with threadpool_limits(limits=limit):
+        yield None
+
+
 def _median_seconds(fn, repeats: int) -> float:
     fn()  # warm-up, discarded
     samples = []
@@ -226,7 +238,8 @@ def run_benchmark(
     S the mean source pixels per pair, rounded to the nearest integer so the
     closed forms stay exact. Wall times are medians over ``repeats`` runs
     after one discarded warm-up; with ``single_threaded`` the BLAS pools are
-    capped at one thread for a fair comparison.
+    capped at one thread for a fair comparison, when :func:`blas_thread_cap`
+    can apply the cap.
 
     Raises:
         RepeatsTooFewError: When fewer than 3 repeats are requested.
@@ -267,10 +280,7 @@ def run_benchmark(
 
     reports = []
     for strategy in strategies:
-        if single_threaded and threadpool_limits is not None:
-            with threadpool_limits(limits=1):
-                median = _median_seconds(runners[strategy], repeats)
-        else:
+        with blas_thread_cap(1) if single_threaded else contextlib.nullcontext():
             median = _median_seconds(runners[strategy], repeats)
         reports.append(
             CostReport(

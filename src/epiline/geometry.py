@@ -24,10 +24,6 @@ from .errors import DegenerateLineError, SingularIntrinsicsError, ZeroBaselineEr
 # Elementwise tolerance for rotation orthonormality and unit determinant.
 ROTATION_ATOL = 1e-9
 
-# Test hook: when True, every derived line slope has its sign flipped.
-# Exists so the self-check command can demonstrate its geometry suite failing.
-_FAULT_FLIP_SLOPE_SIGN = False
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -348,8 +344,6 @@ def _line_params(a1, a2, a3, b1, b2, b3):
     num = np.where(swapped, dx, dy)
     den = np.where(swapped, dy, dx)
     slope = num / np.where(degenerate, 1.0, den)
-    if _FAULT_FLIP_SLOPE_SIGN:
-        slope = -slope
 
     eps_den = _denominator_epsilon(a3, b3)
     intercept = np.full_like(slope, np.nan)

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import synthetic
-from .attention import (
-    AttentionConfig,
-    AttentionProjection,
-    et_forward,
-    seeded_weights,
-    sine_pe,
-)
+from .attention import AttentionConfig, et_forward, seeded_weights
 from .complexity import Strategy, gmacs, strategy_macs
 from .geometry import (
     epipolar_line,
@@ -41,8 +35,8 @@ class SuiteResult:
     detail: str
 
 
-def collinearity_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
-    """Projections at many depths must sit on the closed-form line.
+def collinearity_suite(seed: int = 0, trials: int = 100, line_fn=epipolar_line) -> SuiteResult:
+    """Projections at many depths must sit on the line ``line_fn`` derives.
 
     ``trials`` rigs x 10 pixels x 100 depths; the perpendicular residual of
     every finite projection to the derived line must stay below 1e-6 px.
@@ -58,7 +52,7 @@ def collinearity_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
             x = int(rng.integers(0, w))
             y = int(rng.integers(0, h))
             coeffs = pixel_coeffs(constants, x, y)
-            line = epipolar_line(coeffs)
+            line = line_fn(coeffs)
             xs, ys, finite = project_pixel_sweep(coeffs, depths)
             if finite.any():
                 residual = line.perpendicular_distance(xs[finite], ys[finite]).max()
@@ -72,8 +66,8 @@ def collinearity_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
     )
 
 
-def fundamental_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
-    """The slope/intercept line and the fundamental matrix must agree.
+def fundamental_suite(seed: int = 0, trials: int = 100, line_fn=epipolar_line) -> SuiteResult:
+    """The slope/intercept line from ``line_fn`` and the fundamental matrix must agree.
 
     For each draw, the implicit forms of the two are compared by the cosine
     of their angle, which must exceed 1 - 1e-9 in magnitude.
@@ -89,7 +83,7 @@ def fundamental_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
         for _ in range(draws_per_rig):
             x = int(rng.integers(0, w))
             y = int(rng.integers(0, h))
-            line = epipolar_line(pixel_coeffs(constants, x, y))
+            line = line_fn(pixel_coeffs(constants, x, y))
             lhs = line.coeffs3()
             rhs = f @ np.array([x, y, 1.0])
             cosine = abs(float(lhs @ rhs)) / (
@@ -105,8 +99,14 @@ def fundamental_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
     )
 
 
-def _naive_attention(query, kv, proj: AttentionProjection, heads: int) -> np.ndarray:
-    """Reference attention: explicit per-head, per-query loops."""
+def reference_attention(query, kv, proj, heads: int) -> np.ndarray:
+    """Multi-head attention one head and one query at a time.
+
+    Only the reduction over keys is vectorized, so sequence lengths in the
+    hundreds stay tractable. Shares no code with :mod:`epiline.attention`.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    kv = np.asarray(kv, dtype=np.float64)
     q = query @ proj.wq + proj.bq
     k = kv @ proj.wk + proj.bk
     v = kv @ proj.wv + proj.bv
@@ -114,32 +114,49 @@ def _naive_attention(query, kv, proj: AttentionProjection, heads: int) -> np.nda
     d = c // heads
     merged = np.zeros((n_q, c))
     for head in range(heads):
-        sl = slice(head * d, (head + 1) * d)
-        qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
+        lo, hi = head * d, (head + 1) * d
+        kh, vh = k[:, lo:hi], v[:, lo:hi]
         for i in range(n_q):
-            logits = np.array([float(qh[i] @ kh[j]) / math.sqrt(d) for j in range(kh.shape[0])])
-            weights_row = np.exp(logits - logits.max())
-            weights_row /= weights_row.sum()
-            merged[i, sl] = sum(weights_row[j] * vh[j] for j in range(kh.shape[0]))
+            logits = kh @ q[i, lo:hi] / math.sqrt(d)
+            row = np.exp(logits - logits.max())
+            row /= row.sum()
+            merged[i, lo:hi] = row @ vh
     return merged @ proj.wo + proj.bo
 
 
-def _naive_et_forward(ref_seqs, src_seqs, weights, config):
+def reference_sine_pe(n: int, c: int) -> np.ndarray:
+    """Sinusoidal position table filled entry by entry."""
+    pe = np.zeros((n, c))
+    for pos in range(n):
+        for i in range(c // 2):
+            angle = pos / (10000.0 ** (2 * i / c))
+            pe[pos, 2 * i] = np.sin(angle)
+            pe[pos, 2 * i + 1] = np.cos(angle)
+    return pe
+
+
+def reference_et_forward(ref_tokens, src_tokens, weights, config) -> list[np.ndarray]:
+    """The block forward pass, pair by pair, over raw (n, c) token arrays.
+
+    Returns the augmented source tokens of every pair; an empty source
+    sequence comes back empty, and an empty reference sequence skips the
+    cross-attention and feed-forward steps.
+    """
     out = []
-    for ref_seq, src_seq in zip(ref_seqs, src_seqs):
-        if src_seq.n == 0:
-            out.append(src_seq.tokens)
+    for ref, src in zip(ref_tokens, src_tokens):
+        src = np.asarray(src, dtype=np.float64).copy()
+        ref = np.asarray(ref, dtype=np.float64).copy()
+        if src.shape[0] == 0:
+            out.append(src)
             continue
-        src = np.asarray(src_seq.tokens, dtype=np.float64).copy()
-        ref = np.asarray(ref_seq.tokens, dtype=np.float64).copy()
         if config.pe_mode == "sine":
-            src = src + sine_pe(src.shape[0], config.channels)
+            src = src + reference_sine_pe(src.shape[0], config.channels)
             if ref.shape[0]:
-                ref = ref + sine_pe(ref.shape[0], config.channels)
+                ref = ref + reference_sine_pe(ref.shape[0], config.channels)
         for block in weights.blocks:
-            src = _naive_attention(src, src, block.intra, config.heads) + src
+            src = reference_attention(src, src, block.intra, config.heads) + src
             if ref.shape[0]:
-                src = _naive_attention(src, ref, block.cross, config.heads) + src
+                src = reference_attention(src, ref, block.cross, config.heads) + src
                 hidden = np.maximum(src @ block.ffn.w1 + block.ffn.b1, 0.0)
                 src = hidden @ block.ffn.w2 + block.ffn.b2 + src
         out.append(src)
@@ -175,7 +192,9 @@ def attention_suite(seed: int = 0, trials: int = 20) -> SuiteResult:
                 )
             )
         got = et_forward(ref_seqs, src_seqs, weights, config)
-        expected = _naive_et_forward(ref_seqs, src_seqs, weights, config)
+        expected = reference_et_forward(
+            [seq.tokens for seq in ref_seqs], [seq.tokens for seq in src_seqs], weights, config
+        )
         for got_seq, exp_tokens in zip(got, expected):
             if got_seq.n:
                 worst = max(worst, float(np.abs(got_seq.tokens - exp_tokens).max()))
@@ -219,13 +238,17 @@ def complexity_suite() -> SuiteResult:
     )
 
 
-def run_all(seed: int = 0, trials: int = 100) -> list[SuiteResult]:
-    """Run every suite; ``trials`` scales the randomized ones."""
+def run_all(seed: int = 0, trials: int = 100, line_fn=epipolar_line) -> list[SuiteResult]:
+    """Run every suite; ``trials`` scales the randomized ones.
+
+    ``line_fn`` maps pixel projection coefficients to an EpipolarLine for the
+    two geometry suites; substituting a faulty one shows that they catch it.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     return [
-        collinearity_suite(seed=seed, trials=trials),
-        fundamental_suite(seed=seed, trials=trials),
+        collinearity_suite(seed=seed, trials=trials, line_fn=line_fn),
+        fundamental_suite(seed=seed, trials=trials, line_fn=line_fn),
         attention_suite(seed=seed, trials=max(1, trials // 5)),
         complexity_suite(),
     ]

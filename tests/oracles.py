@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and literal: explicit loops, direct
 matrix chains, exact rational rounding. None of it shares code with the
-implementation paths it validates.
+implementation paths it validates. The attention oracle lives in the library
+(``epiline.verify.reference_et_forward``) so that ``epiline verify`` can use it.
 """
 
 from fractions import Fraction
@@ -44,118 +45,6 @@ def round_half_even_exact(value, step):
 def count_rounding_bins(values, step):
     """Distinct bins the values fall into under exact half-even rounding."""
     return len({round_half_even_exact(float(v), step) for v in values})
-
-
-def naive_attention(query, kv, wq, bq, wk, bk, wv, bv, wo, bo, heads):
-    """Per-head, per-query attention with explicit loops."""
-    query = np.asarray(query, dtype=np.float64)
-    kv = np.asarray(kv, dtype=np.float64)
-    q = query @ wq + bq
-    k = kv @ wk + bk
-    v = kv @ wv + bv
-    n_q, c = q.shape
-    n_kv = k.shape[0]
-    d = c // heads
-    merged = np.zeros((n_q, c))
-    for head in range(heads):
-        lo, hi = head * d, (head + 1) * d
-        for i in range(n_q):
-            logits = np.empty(n_kv)
-            for j in range(n_kv):
-                logits[j] = float(q[i, lo:hi] @ k[j, lo:hi]) / np.sqrt(d)
-            shifted = np.exp(logits - logits.max())
-            weights = shifted / shifted.sum()
-            acc = np.zeros(d)
-            for j in range(n_kv):
-                acc += weights[j] * v[j, lo:hi]
-            merged[i, lo:hi] = acc
-    return merged @ wo + bo
-
-
-def naive_projection_attention(query, kv, proj, heads):
-    return naive_attention(
-        query, kv, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv, proj.wo, proj.bo, heads
-    )
-
-
-def rowwise_attention(query, kv, proj, heads):
-    """Per-head, per-query attention; only the key reduction is vectorized.
-
-    Tractable at sequence lengths in the hundreds, unlike naive_attention.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    kv = np.asarray(kv, dtype=np.float64)
-    q = query @ proj.wq + proj.bq
-    k = kv @ proj.wk + proj.bk
-    v = kv @ proj.wv + proj.bv
-    n_q, c = q.shape
-    d = c // heads
-    merged = np.zeros((n_q, c))
-    for head in range(heads):
-        lo, hi = head * d, (head + 1) * d
-        kh, vh = k[:, lo:hi], v[:, lo:hi]
-        for i in range(n_q):
-            logits = kh @ q[i, lo:hi] / np.sqrt(d)
-            weights = np.exp(logits - logits.max())
-            weights /= weights.sum()
-            merged[i, lo:hi] = weights @ vh
-    return merged @ proj.wo + proj.bo
-
-
-def rowwise_et_forward(ref_tokens, src_tokens, weights, config):
-    """Sequential per-pair forward pass built on rowwise_attention."""
-    out = []
-    for ref, src in zip(ref_tokens, src_tokens):
-        src = np.asarray(src, dtype=np.float64).copy()
-        ref = np.asarray(ref, dtype=np.float64).copy()
-        if src.shape[0] == 0:
-            out.append(src)
-            continue
-        if config.pe_mode == "sine":
-            src = src + naive_sine_pe(src.shape[0], config.channels)
-            if ref.shape[0]:
-                ref = ref + naive_sine_pe(ref.shape[0], config.channels)
-        for block in weights.blocks:
-            src = rowwise_attention(src, src, block.intra, config.heads) + src
-            if ref.shape[0]:
-                src = rowwise_attention(src, ref, block.cross, config.heads) + src
-                hidden = np.maximum(src @ block.ffn.w1 + block.ffn.b1, 0.0)
-                src = hidden @ block.ffn.w2 + block.ffn.b2 + src
-        out.append(src)
-    return out
-
-
-def naive_sine_pe(n, c):
-    pe = np.zeros((n, c))
-    for pos in range(n):
-        for i in range(c // 2):
-            angle = pos / (10000.0 ** (2 * i / c))
-            pe[pos, 2 * i] = np.sin(angle)
-            pe[pos, 2 * i + 1] = np.cos(angle)
-    return pe
-
-
-def naive_et_forward(ref_tokens, src_tokens, weights, config):
-    """Sequential per-pair reference forward pass over raw token arrays."""
-    out = []
-    for ref, src in zip(ref_tokens, src_tokens):
-        src = np.asarray(src, dtype=np.float64).copy()
-        ref = np.asarray(ref, dtype=np.float64).copy()
-        if src.shape[0] == 0:
-            out.append(src)
-            continue
-        if config.pe_mode == "sine":
-            src = src + naive_sine_pe(src.shape[0], config.channels)
-            if ref.shape[0]:
-                ref = ref + naive_sine_pe(ref.shape[0], config.channels)
-        for block in weights.blocks:
-            src = naive_projection_attention(src, src, block.intra, config.heads) + src
-            if ref.shape[0]:
-                src = naive_projection_attention(src, ref, block.cross, config.heads) + src
-                hidden = np.maximum(src @ block.ffn.w1 + block.ffn.b1, 0.0)
-                src = hidden @ block.ffn.w2 + block.ffn.b2 + src
-        out.append(src)
-    return out
 
 
 def naive_conv2d(data, kernel, bias):

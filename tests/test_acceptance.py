@@ -42,6 +42,7 @@ from epiline.geometry import (
     project_pixel_sweep,
     projection_constants,
 )
+from epiline.verify import reference_et_forward
 
 from tests import oracles
 
@@ -199,7 +200,7 @@ def test_criterion_07_attention_oracle_equivalence():
             refs = [LineSequence(0, ref_tokens, _order(n_ref, 0))]
             srcs = [LineSequence(0, src_tokens, _order(n_src, 1))]
             got = et_forward(refs, srcs, weights, config)[0].tokens
-            expected = oracles.rowwise_et_forward([ref_tokens], [src_tokens], weights, config)[0]
+            expected = reference_et_forward([ref_tokens], [src_tokens], weights, config)[0]
             assert np.abs(got - expected).max() < 1e-8
 
         # Attention rows sum to one within 1e-12.

@@ -29,6 +29,7 @@ from epiline import (
 )
 from epiline import synthetic
 from epiline.attention import LocalAugmentWeights
+from epiline.verify import reference_attention, reference_et_forward, reference_sine_pe
 
 from tests import oracles
 
@@ -70,7 +71,7 @@ class TestSinePe:
         assert len(np.unique(pe, axis=0)) == 512
 
     def test_matches_naive_loop(self):
-        np.testing.assert_allclose(sine_pe(20, 8), oracles.naive_sine_pe(20, 8), atol=1e-15)
+        np.testing.assert_allclose(sine_pe(20, 8), reference_sine_pe(20, 8), atol=1e-15)
 
     def test_odd_channels_rejected(self):
         with pytest.raises(OddChannelsError):
@@ -103,7 +104,7 @@ class TestMhsa:
         config = AttentionConfig(channels=16, heads=4, pe_mode="none")
         proj = seeded_weights(config, 2).blocks[0].intra
         x = rng.standard_normal((12, 16))
-        expected = oracles.naive_projection_attention(x, x, proj, 4)
+        expected = reference_attention(x, x, proj, 4)
         np.testing.assert_allclose(mhsa(x, proj, 4), expected, atol=1e-10)
 
     def test_rows_sum_to_one(self):
@@ -144,7 +145,7 @@ class TestMhca:
         proj = seeded_weights(config, 6).blocks[0].cross
         q = rng.standard_normal((5, 16))
         kv = rng.standard_normal((7, 16))
-        expected = oracles.naive_projection_attention(q, kv, proj, 4)
+        expected = reference_attention(q, kv, proj, 4)
         np.testing.assert_allclose(mhca(q, kv, proj, 4), expected, atol=1e-10)
 
     def test_empty_inputs_rejected(self):
@@ -186,7 +187,7 @@ class TestEtForward:
         lengths = [(int(rng.integers(0, 20)), int(rng.integers(0, 20))) for _ in range(10)]
         refs, srcs = make_sequences(rng, config, lengths)
         got = et_forward(refs, srcs, weights, config)
-        expected = oracles.naive_et_forward(
+        expected = reference_et_forward(
             [r.tokens for r in refs], [s.tokens for s in srcs], weights, config
         )
         for got_seq, exp_tokens in zip(got, expected):
@@ -272,21 +273,10 @@ class TestEtForward:
         weights = seeded_weights(config, 17)
         refs, srcs = make_sequences(rng, config, [(4, 6)])
         got = et_forward(refs, srcs, weights, config)
-        expected = oracles.naive_et_forward(
+        expected = reference_et_forward(
             [refs[0].tokens], [srcs[0].tokens], weights, config
         )
         np.testing.assert_allclose(got[0].tokens, expected[0], atol=1e-8)
-
-    def test_learnable_pe_uses_stored_table(self):
-        rng = np.random.default_rng(18)
-        config = AttentionConfig(channels=8, heads=2, pe_mode="learnable")
-        weights = seeded_weights(config, 18, pe_positions=16)
-        refs, srcs = make_sequences(rng, config, [(4, 4)])
-        out = et_forward(refs, srcs, weights, config)
-        assert out[0].tokens.shape == (4, 8)
-        long_refs, long_srcs = make_sequences(rng, config, [(4, 32)])
-        with pytest.raises(ValueError):
-            et_forward(long_refs, long_srcs, weights, config)
 
 
 class TestLocalAugment:
@@ -324,11 +314,6 @@ class TestLocalAugment:
             out_shifted[2:-2, 2:-2], np.roll(out, (1, 1), (0, 1))[2:-2, 2:-2], atol=1e-12
         )
 
-    def test_hole_mask_shape_checked(self):
-        fmap = FeatureMap(np.zeros((4, 4, 1)))
-        with pytest.raises(ValueError):
-            local_augment(fmap, identity_local_weights(1), hole_mask=np.zeros((2, 2), bool))
-
 
 class TestAugmentPipeline:
     def build(self, seed=22, h=16, w=16, c=8):
@@ -343,9 +328,7 @@ class TestAugmentPipeline:
         pairs, ref_map, src_map = self.build()
         config = AttentionConfig(channels=8, heads=2, pe_mode="none")
         weights = zero_weights(config)
-        weights = AttentionWeights(
-            blocks=weights.blocks, local=identity_local_weights(8), pe_table=None
-        )
+        weights = AttentionWeights(blocks=weights.blocks, local=identity_local_weights(8))
         out = augment_pipeline(ref_map, src_map, pairs, weights, config)
         np.testing.assert_array_equal(out.data, src_map.data)
 
@@ -380,10 +363,21 @@ class TestAugmentPipeline:
                 src_map,
             ),
             weights.local,
-            pairs.src_hole_mask,
         )
         out = augment_pipeline(ref_map, src_map, pairs, weights, config)
         np.testing.assert_array_equal(out.data, manual.data)
+
+    def test_ref_side_is_the_mirrored_composition(self):
+        pairs, ref_map, src_map = self.build(seed=27)
+        config = AttentionConfig(channels=8, heads=2, pe_mode="sine")
+        weights = seeded_weights(config, 27)
+        src_seqs, ref_seqs = gather(src_map, pairs, "src"), gather(ref_map, pairs, "ref")
+        mirrored = et_forward(src_seqs, ref_seqs, weights, config)
+        manual = local_augment(scatter(mirrored, pairs, ref_map), weights.local)
+        out = augment_pipeline(ref_map, src_map, pairs, weights, config, side="ref")
+        np.testing.assert_array_equal(out.data, manual.data)
+        with pytest.raises(ValueError):
+            augment_pipeline(ref_map, src_map, pairs, weights, config, side="both")
 
 
 class TestWeightFile:
@@ -426,6 +420,13 @@ class TestWeightFile:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError):
             read_weights(path)
+
+    def test_weights_that_disagree_with_config_rejected(self, tmp_path):
+        config = AttentionConfig(channels=8, heads=2)
+        weights = seeded_weights(config, 28)
+        for other in (AttentionConfig(8, 2, n_blocks=2), AttentionConfig(8, 2, ffn_ratio=2)):
+            with pytest.raises(ValueError):
+                write_weights(tmp_path / "w.epwt", weights, other)
 
 
 class TestConfigValidation:

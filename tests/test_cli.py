@@ -1,6 +1,8 @@
 """Command-line behavior: schemas, determinism, exit codes."""
 
+import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -343,6 +345,23 @@ class TestThreadCap:
         assert main(["verify", "--trials", "2"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "value, reason", [("2", "threadpoolctl is not importable"), ("many", "not an integer")]
+    )
+    def test_unapplied_cap_is_reported(self, monkeypatch, capsys, value, reason):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setenv("EPILINE_THREADS", value)
+        assert main(["verify", "--trials", "2"]) == 0
+        err = capsys.readouterr().err
+        assert f"epiline: EPILINE_THREADS={value!r} not applied: {reason}" in err
+
+    def test_bench_header_says_cap_not_applied(self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        args = ["bench", "--size", "8x8", "--channels", "8", "--heads", "2", "--repeats", "3"]
+        assert main([*args, "--strategies", "line-to-line", "--sb", "1.0"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith("# single-thread cap not applied: threadpoolctl")
+
 
 class TestBenchCommand:
     def test_synthetic_rig_smoke(self, capsys):
@@ -386,3 +405,39 @@ class TestBenchCommand:
         rc = main(["bench", "--size", "10x10", "--repeats", "1", "--channels", "8", "--heads", "2"])
         assert rc == 1
         assert "repeats" in capsys.readouterr().err
+
+
+class TestGoldenOutputs:
+    """Pinned output bytes. They guard the two weight-tensor orders (seeded
+    draw order, EPWT file order) and both sides of the augment pipeline."""
+
+    def test_weight_file_bytes(self, tmp_path):
+        from epiline import AttentionConfig, seeded_weights, write_weights
+
+        config = AttentionConfig(64, 8)
+        write_weights(tmp_path / "w.epwt", seeded_weights(config, 0), config)
+        digest = hashlib.sha256((tmp_path / "w.epwt").read_bytes()).hexdigest()
+        assert digest == "15b21cd44e45cd4ecf3587ac6003ac980a5ad0f4518bb2069de54cfb34cd2895"
+
+    def test_symmetric_augment_bytes(self, tmp_path):
+        pair = synthetic.random_pair(np.random.default_rng(16_20), 16, 20)
+        ref_cam, src_cam = tmp_path / "ref.txt", tmp_path / "src.txt"
+        write_cam_file(ref_cam, pair.ref_intrinsics, CameraExtrinsics.identity(), 2.0, 0.1)
+        write_cam_file(src_cam, pair.src_intrinsics, pair.rel_extrinsics, 2.0, 0.1)
+        out = tmp_path / "aug.epfm"
+        rc = main(
+            [
+                "augment", *cam_args((str(ref_cam), str(src_cam)), size="16x20", sb="2"),
+                "--channels", "16", "--heads", "4", "--seed", "0",
+                "--out", str(out), "--symmetric",
+            ]
+        )
+        assert rc == 0
+        digests = [
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (out, tmp_path / "aug_ref.epfm")
+        ]
+        assert digests == [
+            "0918f402cb6458551f9f8c97f3de3aa3ad13a641f445b2db6674a7ec2579a7be",
+            "bb038be5647588873f2986d40a50605c72e1db839624b24c52979f45190d0ae3",
+        ]
