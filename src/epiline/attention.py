@@ -32,6 +32,9 @@ _EPWT_MAGIC = b"EPWT"
 
 _PE_MODES = ("none", "sine")
 
+# Score tile bytes: as fast as 4 MiB, 25% faster than 256 KiB (Xeon, 4 MiB L2).
+_TILE_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class AttentionConfig:
@@ -106,13 +109,6 @@ class AttentionWeights:
     local: LocalAugmentWeights
 
 
-def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically shifted softmax; rows sum to one."""
-    shifted = scores - scores.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
 def sine_pe(n: int, c: int) -> np.ndarray:
     """Sinusoidal position offsets for an n-token sequence of c channels.
 
@@ -139,9 +135,10 @@ def mhca(
 ):
     """Multi-head attention with queries from one sequence, keys/values from another.
 
-    Scores are scaled by sqrt(head_dim) and softmaxed over keys per head.
-    Returns the pre-residual output (n_q, c), or (output, attention) with
-    attention shaped (heads, n_q, n_kv) when requested.
+    Scores are scaled by sqrt(head_dim) and softmaxed over keys per head, for
+    one block of queries (one at least) at a time in a reused ``_TILE_BYTES``
+    tile. Returns the pre-residual output (n_q, c), or (output, attention)
+    with attention shaped (heads, n_q, n_kv) when requested.
     """
     query_seq = np.asarray(query_seq, dtype=np.float64)
     kv_seq = np.asarray(kv_seq, dtype=np.float64)
@@ -158,14 +155,26 @@ def mhca(
     v = kv_seq @ proj.wv + proj.bv
 
     qh = q.reshape(n_q, heads, d).transpose(1, 0, 2)
-    kh = k.reshape(n_kv, heads, d).transpose(1, 0, 2)
-    vh = v.reshape(n_kv, heads, d).transpose(1, 0, 2)
+    kt = np.ascontiguousarray(k.reshape(n_kv, heads, d).transpose(1, 2, 0)) / math.sqrt(d)
+    vh = np.ascontiguousarray(v.reshape(n_kv, heads, d).transpose(1, 0, 2))
 
-    scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(d)
-    attention = softmax(scores, axis=-1)
-    context = attention @ vh
-    merged = context.transpose(1, 0, 2).reshape(n_q, c)
-    out = merged @ proj.wo + proj.bo
+    block = max(1, _TILE_BYTES // (8 * heads * n_kv))
+    tile = np.empty((heads, min(block, n_q), n_kv))
+    merged = np.empty((n_q, heads, d))
+    attention = np.empty((heads, n_q, n_kv)) if return_attention else None
+    for start in range(0, n_q, block):
+        rows = slice(start, min(start + block, n_q))
+        scores = tile[:, : rows.stop - start]
+        np.matmul(qh[:, rows], kt, out=scores)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        sums = scores.sum(axis=-1, keepdims=True)
+        context = merged[rows].transpose(1, 0, 2)
+        np.matmul(scores, vh, out=context)
+        context /= sums
+        if attention is not None:
+            np.divide(scores, sums, out=attention[:, rows])
+    out = merged.reshape(n_q, c) @ proj.wo + proj.bo
     if return_attention:
         return out, attention
     return out
@@ -199,6 +208,9 @@ def et_forward(
         raise IndexMisalignmentError(
             f"{len(ref_seqs)} reference sequences vs {len(src_seqs)} source sequences"
         )
+    # One table for the longest sequence; its rows do not depend on its length.
+    longest = max((max(r.n, s.n) for r, s in zip(ref_seqs, src_seqs) if s.n), default=0)
+    pe = sine_pe(longest, config.channels) if config.pe_mode == "sine" and longest else None
     out = []
     for ref_seq, src_seq in zip(ref_seqs, src_seqs):
         if ref_seq.pair_index != src_seq.pair_index:
@@ -210,10 +222,9 @@ def et_forward(
             continue
         src = np.asarray(src_seq.tokens, dtype=np.float64).copy()
         ref = np.asarray(ref_seq.tokens, dtype=np.float64).copy()
-        if config.pe_mode == "sine":
-            src = src + sine_pe(src.shape[0], config.channels)
-            if ref.shape[0] > 0:
-                ref = ref + sine_pe(ref.shape[0], config.channels)
+        if pe is not None:
+            src = src + pe[: src.shape[0]]
+            ref = ref + pe[: ref.shape[0]]
         for block in weights.blocks:
             src = mhsa(src, block.intra, config.heads) + src
             if ref.shape[0] > 0:

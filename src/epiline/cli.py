@@ -124,8 +124,9 @@ def cmd_augment(args) -> int:
         src_map = FeatureMap(synthetic.random_feature_map(rng, h, w, channels))
     if config is None:
         channels = src_map.channels
-        heads = args.heads if channels % args.heads == 0 else 1
-        config = AttentionConfig(channels=channels, heads=heads)
+        if channels % args.heads != 0:
+            raise EpilineError(f"{channels} channels are not divisible by --heads {args.heads}")
+        config = AttentionConfig(channels=channels, heads=args.heads)
         weights = seeded_weights(config, args.seed)
     elif config.channels != src_map.channels:
         raise EpilineError(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import statistics
 import time
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -239,7 +240,7 @@ def run_benchmark(
     closed forms stay exact. Wall times are medians over ``repeats`` runs
     after one discarded warm-up; with ``single_threaded`` the BLAS pools are
     capped at one thread for a fair comparison, when :func:`blas_thread_cap`
-    can apply the cap.
+    can apply the cap; when it cannot, a ``RuntimeWarning`` says why.
 
     Raises:
         RepeatsTooFewError: When fewer than 3 repeats are requested.
@@ -279,15 +280,16 @@ def run_benchmark(
     }
 
     reports = []
-    for strategy in strategies:
-        with blas_thread_cap(1) if single_threaded else contextlib.nullcontext():
-            median = _median_seconds(runners[strategy], repeats)
-        reports.append(
-            CostReport(
-                strategy=strategy,
-                mac_count=strategy_macs(strategy, h, w, c, s, m),
-                wall_time=median,
-                peak_tokens=peaks[strategy],
+    with blas_thread_cap(1) if single_threaded else contextlib.nullcontext() as not_applied:
+        if not_applied:
+            warnings.warn(f"single-thread cap not applied: {not_applied}", RuntimeWarning, 2)
+        for strategy in strategies:
+            reports.append(
+                CostReport(
+                    strategy=strategy,
+                    mac_count=strategy_macs(strategy, h, w, c, s, m),
+                    wall_time=_median_seconds(runners[strategy], repeats),
+                    peak_tokens=peaks[strategy],
+                )
             )
-        )
     return reports

@@ -28,7 +28,7 @@ from epiline import (
     zero_weights,
 )
 from epiline import synthetic
-from epiline.attention import LocalAugmentWeights
+from epiline.attention import _TILE_BYTES, LocalAugmentWeights
 from epiline.verify import reference_attention, reference_et_forward, reference_sine_pe
 
 from tests import oracles
@@ -76,6 +76,12 @@ class TestSinePe:
     def test_odd_channels_rejected(self):
         with pytest.raises(OddChannelsError):
             sine_pe(4, 7)
+
+    def test_longer_table_prefix_is_bitwise_equal(self):
+        # et_forward slices one table built for its longest sequence.
+        table = sine_pe(3000, 64)
+        for m in (*range(1, 70), 255, 256, 257, 1000, 1023, 2441):
+            np.testing.assert_array_equal(table[:m], sine_pe(m, 64))
 
 
 class TestMhsa:
@@ -147,6 +153,21 @@ class TestMhca:
         kv = rng.standard_normal((7, 16))
         expected = reference_attention(q, kv, proj, 4)
         np.testing.assert_allclose(mhca(q, kv, proj, 4), expected, atol=1e-10)
+
+    @pytest.mark.parametrize("n_q, n_kv", [(37, 2000), (3, 20000)])
+    def test_multi_tile_matches_naive(self, n_q, n_kv):
+        # 37 queries over 2000 keys need several query blocks, the last one
+        # ragged; one query row over 20000 keys alone exceeds the tile.
+        assert _TILE_BYTES // (8 * 8 * n_kv) < n_q
+        rng = np.random.default_rng(n_kv)
+        config = AttentionConfig(channels=64, heads=8, pe_mode="none")
+        proj = seeded_weights(config, 7).blocks[0].cross
+        q = rng.standard_normal((n_q, 64))
+        kv = rng.standard_normal((n_kv, 64))
+        out, attn = mhca(q, kv, proj, 8, return_attention=True)
+        np.testing.assert_allclose(out, reference_attention(q, kv, proj, 8), atol=1e-10)
+        assert attn.shape == (8, n_q, n_kv)
+        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_empty_inputs_rejected(self):
         config = AttentionConfig(channels=8, heads=2, pe_mode="none")

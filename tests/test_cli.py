@@ -268,6 +268,19 @@ class TestAugmentCommand:
         assert rc == 1
         assert "channels" in capsys.readouterr().err
 
+    def test_heads_that_do_not_divide_channels_rejected(self, rectified_cams, tmp_path, capsys):
+        out = tmp_path / "aug.epfm"
+        rc = main(
+            [
+                "augment", *cam_args(rectified_cams),
+                "--channels", "6", "--heads", "4",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "6 channels are not divisible by --heads 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_weight_file_round_trip(self, rectified_cams, tmp_path):
         weights_path = tmp_path / "weights.epwt"
         first = tmp_path / "first.epfm"

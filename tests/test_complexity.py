@@ -1,5 +1,7 @@
 """Cost-model tests: closed forms, reference values, scaling, and the bench harness."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,13 @@ class TestRunBenchmark:
             assert report.mac_count > 0
             assert report.wall_time > 0.0
             assert report.peak_tokens >= 1
+
+    def test_unapplied_single_thread_cap_warns(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        config = AttentionConfig(channels=8, heads=2)
+        search = SearchConfig(s_k=0.1, s_b=1.0, delta=1.0)
+        with pytest.warns(RuntimeWarning, match="cap not applied: threadpoolctl is not importable"):
+            run_benchmark(self.small_rig(), config, ["line-to-line"], repeats=3, search=search)
 
     def test_analytic_counts_are_deterministic(self):
         config = AttentionConfig(channels=8, heads=2)
